@@ -20,7 +20,7 @@ deliberately conservative* — no type inference, no values:
   justification *on the path*, not on the node.
 
 Calls through values (callbacks, ``target=fn`` references, dispatch
-tables) produce **no** edge — a documented limit (DESIGN.md § 16); the
+tables) produce **no** edge — a documented limit (DESIGN.md § 15); the
 engine's one load-bearing case (``Process(target=_worker_main)``) is
 covered by the interleave detector instead.
 

@@ -29,7 +29,7 @@ Nothing here can change *modeled* charges: the hooks reorder work the
 coordinator has already computed (routing, probing, and charging all
 happen upstream of every permutation point), which is exactly why
 bit-identical output is the correct assertion rather than mere
-value-equality (see DESIGN.md § 16).
+value-equality (see DESIGN.md § 15).
 """
 
 from __future__ import annotations

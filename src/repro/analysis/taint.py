@@ -16,7 +16,7 @@ Sources are **unannotated** sites only: a ``# repro: wall-clock=<reason>``
 annotation (REP002's key) declares the value telemetry, and telemetry is
 allowed to exist — this rule proves it never crosses into the model.
 
-The lattice is deliberately small (DESIGN.md § 16): per function we learn
+The lattice is deliberately small (DESIGN.md § 15): per function we learn
 (a) does it return a tainted value, (b) which parameters flow to its
 return, and (c) which parameters reach a sink inside it (transitively).
 Locals propagate through expressions, loops, comprehensions, container

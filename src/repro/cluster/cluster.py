@@ -818,7 +818,8 @@ class Cluster:
         Checked before any mutation so a failing statement leaves the
         cluster unchanged (statement atomicity).  Multiplicity-aware: the
         home fragment must hold at least as many copies of each row as the
-        statement deletes.  Uncharged — this is validation, not execution.
+        statement deletes, as counted by the heap's content map.  Uncharged —
+        this is validation, not execution.
         """
         if not deletes:
             return
@@ -829,7 +830,7 @@ class Cluster:
             info.schema.check_row(row)
             home = info.partitioner.node_of_row(row)
             fragment = self.nodes[home].fragment(info.name)
-            available = sum(1 for stored in fragment.table if stored == row)
+            available = fragment.table.count_of(row)
             if available < count:
                 raise KeyError(
                     f"cannot delete {count} instance(s) of {row!r} from "
@@ -1142,15 +1143,16 @@ class Cluster:
             self.network.send(source, node.node_id, Tag.VIEW)
             fragment = node.fragment(view.name)
             self.ledger.charge(node.node_id, Op.SEARCH, Tag.VIEW)
-            for rowid, stored in fragment.table.scan():
-                if stored == row:
-                    node.delete_by_rowid(view.name, rowid, Tag.VIEW)
-                    self._record_undo(
-                        lambda f=fragment, r=rowid, t=row: f.restore(r, t),
-                        node=node.node_id, tag=Tag.VIEW, writes=1,
-                        description=f"restore {view.name} delete",
-                    )
-                    return
+            rowids = fragment.table.rowids_of(row)
+            if rowids:
+                rowid = rowids[0]
+                node.delete_by_rowid(view.name, rowid, Tag.VIEW)
+                self._record_undo(
+                    lambda f=fragment, r=rowid, t=row: f.restore(r, t),
+                    node=node.node_id, tag=Tag.VIEW, writes=1,
+                    description=f"restore {view.name} delete",
+                )
+                return
         raise KeyError(f"view {view.name!r} holds no tuple equal to {row!r}")
 
     # ================================================================ reads

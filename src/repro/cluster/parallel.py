@@ -178,8 +178,8 @@ def locate_victim(fragment: "IndexedHeap", row: "Row", taken) -> Optional[int]:
             if rowid not in taken and fragment.table.fetch(rowid) == row:
                 return rowid
         return None
-    for rowid, stored in fragment.table.scan():
-        if rowid not in taken and stored == row:
+    for rowid in fragment.table.rowids_of(row):
+        if rowid not in taken:
             return rowid
     return None
 

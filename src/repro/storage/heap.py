@@ -4,11 +4,16 @@ A :class:`HeapTable` holds one node's fragment of a partitioned relation.
 Rows get monotonically increasing *local row ids*; deletion leaves a hole
 (ids are never reused), which is exactly the property global indexes need:
 a (node, local rowid) pair identifies a tuple for its whole lifetime.
+
+Deletes by content ("remove one tuple equal to this row") find their
+victim through a lazily built content map from row to live rowids rather
+than a fragment walk.  Each list is kept in scan order, so the victim
+among duplicates is the same one a scan would have found first.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .pages import PageLayout, DEFAULT_LAYOUT
 from .schema import Row, Schema
@@ -26,6 +31,9 @@ class HeapTable:
         self.layout = layout
         self._rows: Dict[int, Row] = {}
         self._next_rowid = 0
+        # row -> live rowids in scan order; None until the first content
+        # lookup, so fragments that never take a content delete pay nothing.
+        self._by_row: Optional[Dict[Row, List[int]]] = None
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -39,6 +47,8 @@ class HeapTable:
         rowid = self._next_rowid
         self._next_rowid += 1
         self._rows[rowid] = row
+        if self._by_row is not None:
+            self._by_row.setdefault(row, []).append(rowid)
         return rowid
 
     def insert_many(self, rows) -> List[int]:
@@ -56,6 +66,10 @@ class HeapTable:
         rowids = list(range(first, first + len(rows)))
         self._rows.update(zip(rowids, rows))
         self._next_rowid = first + len(rows)
+        if self._by_row is not None:
+            by_row = self._by_row
+            for rowid, row in zip(rowids, rows):
+                by_row.setdefault(row, []).append(rowid)
         return rowids
 
     def fetch(self, rowid: int) -> Row:
@@ -70,11 +84,13 @@ class HeapTable:
     def delete(self, rowid: int) -> Row:
         """Delete and return the row stored under ``rowid``."""
         try:
-            return self._rows.pop(rowid)
+            row = self._rows.pop(rowid)
         except KeyError:
             raise RowNotFound(
                 f"rowid {rowid} not present in {self.schema.name!r}"
             ) from None
+        self._unmap(rowid, row)
+        return row
 
     def restore(self, rowid: int, row: Row) -> None:
         """Re-insert a previously deleted row under its *original* rowid.
@@ -93,12 +109,17 @@ class HeapTable:
         self._rows[rowid] = row
         if rowid >= self._next_rowid:
             self._next_rowid = rowid + 1
+        # The revived rowid re-enters the dict at the end of scan order,
+        # so appending keeps its content list in scan order too.
+        if self._by_row is not None:
+            self._by_row.setdefault(row, []).append(rowid)
 
     def delete_where(self, predicate: Callable[[Row], bool]) -> List[Tuple[int, Row]]:
         """Delete every row satisfying ``predicate``; returns (rowid, row) pairs."""
         victims = [(rid, row) for rid, row in self._rows.items() if predicate(row)]
-        for rid, _ in victims:
+        for rid, row in victims:
             del self._rows[rid]
+            self._unmap(rid, row)
         return victims
 
     def update(self, rowid: int, row: Row) -> Row:
@@ -106,6 +127,9 @@ class HeapTable:
         self.schema.check_row(row)
         old = self.fetch(rowid)
         self._rows[rowid] = row
+        # The row keeps its old scan slot, which an append cannot express;
+        # drop the map and let the next lookup rebuild it.
+        self._by_row = None
         return old
 
     def scan(self) -> Iterator[Tuple[int, Row]]:
@@ -115,6 +139,39 @@ class HeapTable:
     def rows(self) -> List[Row]:
         """A snapshot list of all live rows."""
         return list(self._rows.values())
+
+    def rowids_of(self, row: Row) -> Sequence[int]:
+        """The live rowids holding a tuple equal to ``row``, in scan order.
+
+        Physical lookup only and uncharged: the cost model prices a content
+        delete as one write whether or not the engine scans to find it.
+        The result is a live view of the map; copy it before mutating
+        the table while iterating.
+        """
+        return self._content_map().get(row, ())
+
+    def count_of(self, row: Row) -> int:
+        """How many live tuples equal ``row``."""
+        return len(self.rowids_of(row))
+
+    def _content_map(self) -> Dict[Row, List[int]]:
+        by_row = self._by_row
+        if by_row is None:
+            by_row = {}
+            for rowid, row in self._rows.items():
+                by_row.setdefault(row, []).append(rowid)
+            self._by_row = by_row
+        return by_row
+
+    def _unmap(self, rowid: int, row: Row) -> None:
+        by_row = self._by_row
+        if by_row is None:
+            return
+        rowids = by_row[row]
+        if len(rowids) == 1:
+            del by_row[row]
+        else:
+            rowids.remove(rowid)
 
     @property
     def next_rowid(self) -> int:

@@ -147,9 +147,13 @@ class IndexedHeap:
             index.on_insert(rowid, row)
 
     def delete_matching(self, row: Row) -> int:
-        """Delete one stored tuple equal to ``row``; returns its rowid."""
-        for rowid, stored in self.table.scan():
-            if stored == row:
-                self.delete(rowid)
-                return rowid
-        raise IndexError_(f"no tuple equal to {row!r} in {self.table.schema.name!r}")
+        """Delete the first stored tuple (in scan order) equal to ``row``;
+        returns its rowid."""
+        rowids = self.table.rowids_of(row)
+        if not rowids:
+            raise IndexError_(
+                f"no tuple equal to {row!r} in {self.table.schema.name!r}"
+            )
+        rowid = rowids[0]
+        self.delete(rowid)
+        return rowid

@@ -1,6 +1,8 @@
 """Unit tests for repro.storage.heap."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage.heap import HeapTable, RowNotFound
 from repro.storage.pages import PageLayout
@@ -83,3 +85,56 @@ def test_page_of():
 def test_iter_yields_rows(table):
     table.insert_many([(1, "a"), (2, "b")])
     assert list(table) == [(1, "a"), (2, "b")]
+
+
+# A two-by-two row domain, so random sequences produce many duplicates.
+_DOMAIN = [(k, v) for k in (0, 1) for v in ("a", "b")]
+_row = st.sampled_from(_DOMAIN)
+_heap_op = st.one_of(
+    st.tuples(st.just("insert"), _row),
+    st.tuples(st.just("insert_many"), st.lists(_row, max_size=4)),
+    st.tuples(st.just("delete"), st.integers(0, 15)),
+    st.tuples(st.just("restore"), st.integers(0, 15)),
+    st.tuples(st.just("delete_where"), st.sampled_from(["a", "b"])),
+    st.tuples(st.just("update"), st.tuples(st.integers(0, 15), _row)),
+)
+
+
+def _apply(table, deleted, op):
+    kind, arg = op
+    live = [rid for rid, _ in table.scan()]
+    if kind == "insert":
+        table.insert(arg)
+    elif kind == "insert_many":
+        table.insert_many(arg)
+    elif kind == "delete" and live:
+        rid = live[arg % len(live)]
+        deleted.append((rid, table.delete(rid)))
+    elif kind == "restore" and deleted:
+        table.restore(*deleted.pop(arg % len(deleted)))
+    elif kind == "delete_where":
+        deleted.extend(table.delete_where(lambda row: row[1] == arg))
+    elif kind == "update" and live:
+        table.update(live[arg[0] % len(live)], arg[1])
+
+
+def _assert_content_map(table):
+    for row in _DOMAIN:
+        expected = [rid for rid, stored in table.scan() if stored == row]
+        assert list(table.rowids_of(row)) == expected
+        assert table.count_of(row) == len(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_heap_op, max_size=40))
+def test_content_map_matches_scan(ops):
+    """The content map lists exactly the scan's matches, in scan order,
+    after every mutation -- whether it was built before the mutation
+    (``eager``, probed every step) or only afterwards (``lazy``)."""
+    eager, eager_deleted = HeapTable(Schema.of("T", "k", "v")), []
+    lazy, lazy_deleted = HeapTable(Schema.of("T", "k", "v")), []
+    for op in ops:
+        _apply(eager, eager_deleted, op)
+        _apply(lazy, lazy_deleted, op)
+        _assert_content_map(eager)
+    _assert_content_map(lazy)

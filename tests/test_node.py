@@ -119,11 +119,18 @@ def test_delete_matching_uses_index_and_charges(node):
     assert len(node.fragment("T").table) == 0
 
 
-def test_delete_matching_without_index_scans(node):
+def test_delete_matching_without_index_charges_one_insert_no_search(node):
+    """The model prices an unindexed content delete as one write; the
+    physical content lookup that finds the victim must stay uncharged."""
     node.create_fragment(Schema.of("T", "k"))
-    node.insert("T", (1,), Tag.BASE)
+    node.insert_many("T", [(i % 3,) for i in range(30)], Tag.BASE)
+    before = node.ledger.snapshot()
     node.delete_matching("T", (1,), Tag.BASE)
-    assert len(node.fragment("T").table) == 0
+    charged = node.ledger.diff_since(before)
+    assert charged.op_count(Op.INSERT) == 1
+    assert charged.op_count(Op.SEARCH) == 0
+    assert charged.total_workload() == 2.0
+    assert node.fragment("T").table.count_of((1,)) == 9
 
 
 def test_delete_matching_missing_raises(node):

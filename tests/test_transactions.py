@@ -1,7 +1,11 @@
 """Tests for repro.cluster.transactions."""
 
+from collections import Counter
+
 import pytest
 
+from repro import recompute_view
+from repro.faults import ConsistencyAuditor
 from tests.conftest import make_view
 
 
@@ -57,3 +61,32 @@ def test_empty_transaction(ab_cluster):
         pass
     assert txn.report.statements == 0
     assert txn.report.total_workload == 0.0
+
+
+def test_delete_after_rollback_takes_first_copy_in_scan_order(ab_cluster):
+    """Rollback revives a deleted duplicate at the end of scan order; the
+    next delete of that row must take the copy a fragment scan finds first,
+    so rowids, GI rid-lists and the view stay exactly as the model says."""
+    make_view(ab_cluster, "global_index")
+    dup = (1, 2, "x")
+    ab_cluster.insert("A", [dup, (5, 2, "y"), dup, dup])
+    (table,) = [
+        node.fragment("A").table
+        for node in ab_cluster.nodes
+        if node.has_fragment("A") and dup in node.fragment("A").table
+    ]
+
+    def copies():
+        return [rid for rid, row in table.scan() if row == dup]
+
+    first, second, third = copies()
+    with ab_cluster.transaction() as txn:
+        txn.delete("A", [dup])
+        assert copies() == [second, third]
+        txn.rollback()
+    assert copies() == [second, third, first]
+
+    ab_cluster.delete("A", [dup])
+    assert copies() == [third, first]
+    assert Counter(ab_cluster.view_rows("JV")) == recompute_view(ab_cluster, "JV")
+    assert ConsistencyAuditor(ab_cluster).audit().ok
