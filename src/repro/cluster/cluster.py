@@ -1189,13 +1189,13 @@ class Cluster:
         of naive (none) vs GI (entries) vs AR (copies)."""
         usage: Dict[str, int] = {}
         for name in self.catalog.relations:
-            usage[name] = len(self.scan_relation(name))
+            usage[name] = sum(self.fragment_sizes(name).values())
         for name in self.catalog.auxiliaries:
-            usage[name] = len(self.scan_relation(name))
+            usage[name] = sum(self.fragment_sizes(name).values())
         for name, gi in self.catalog.global_indexes.items():
             usage[name] = sum(len(node.gi_partition(name)) for node in self.nodes)
         for name in self.catalog.views:
-            usage[name] = len(self.scan_relation(name))
+            usage[name] = sum(self.fragment_sizes(name).values())
         return usage
 
     # ========================================================== transactions

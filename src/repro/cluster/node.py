@@ -379,7 +379,7 @@ class Node:
         exports are deterministic across runs and worker counts.
         """
         return [
-            (name, len(fragment.table.rows()), fragment.table.num_pages)
+            (name, len(fragment.table), fragment.table.num_pages)
             for name, fragment in sorted(self._fragments.items())
         ]
 

@@ -413,15 +413,7 @@ def _execute_op(nodes, cache: Optional[HeavyHitterProbeCache], op, events=None):
             else:
                 cost = node.layout.sort_cost_pages(pages)
                 node.ledger.charge(node_id, Op.SORT_PAGE, tag, count=cost)
-        matches: Dict[object, list] = {}
-        if keys:
-            position = node.fragment(fragment).table.schema.index_of(column)
-            wanted = set(keys)
-            for row in node.scan(fragment):
-                key = row[position]
-                if key in wanted:
-                    matches.setdefault(key, []).append(row)
-        return matches
+        return node.fragment(fragment).rows_for_keys(column, keys)
     if kind == "rr_del":
         _, node_id, name, rowid, tag = op
         node = nodes[node_id]

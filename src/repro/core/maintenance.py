@@ -66,6 +66,9 @@ class JoinStrategy(enum.Enum):
 #: An intermediate result: the node it currently resides on plus the
 #: concatenated values joined so far.
 Intermediate = Tuple[int, Row]
+#: One node's share of a sort-merge hop: its prefixes and their distinct
+#: join keys (a dict, for ordered iteration and O(1) membership).
+MergeSlice = Tuple[List[Row], Dict[object, None]]
 
 
 class JoinViewMaintainer:
@@ -715,45 +718,44 @@ class JoinViewMaintainer:
             )
         raise TypeError(f"unknown access path {access!r}")
 
-    def _sm_merge_parallel(
+    def _merge_pass(
         self, engine, fragment_name, column, sorted_fragments,
-        slices: Dict[int, List[Row]], key_position, filters,
+        slices: Dict[int, MergeSlice], key_position, filters,
     ) -> List[Intermediate]:
-        """One superstep of per-node merge passes (the parallel half of the
-        sort-merge hops).
+        """One merge pass per node: every node is charged its scan/sort of
+        ``fragment_name`` whether or not its slice is empty, and each
+        node's slice of prefixes joins the fragment rows carrying one of
+        the slice's keys.
 
-        Every node receives a ``merge`` command — the scan/sort pass is
-        charged *per node* whether or not its delta slice is empty, exactly
-        like the serial loop — carrying the distinct join keys of that
-        node's slice.  Workers return matches grouped by key in fragment
-        scan order; the assembly below then walks (node order x slice order
-        x scan order), the same nesting as
-        :meth:`_merge_against_fragment`.
+        The rows come from :meth:`IndexedHeap.rows_for_keys`, grouped by
+        key in fragment scan order, on the coordinator or — under the
+        parallel engine — in the worker serving the node.  Results walk
+        (node order x slice order x scan order) either way.
         """
-        num_nodes = self.cluster.num_nodes
-        wanted: List[Tuple[object, ...]] = []
-        for node_id in range(num_nodes):
-            prefixes = slices.get(node_id)
-            if prefixes:
-                wanted.append(
-                    tuple(dict.fromkeys(p[key_position] for p in prefixes))
+        if engine is not None:
+            matches_by_node = engine.run_ops([
+                ("merge", node_id, fragment_name, column, sorted_fragments,
+                 slices[node_id][1] if node_id in slices else {}, Tag.MAINTAIN)
+                for node_id in range(self.cluster.num_nodes)
+            ])
+        else:
+            matches_by_node = []
+            for node in self.cluster.nodes:
+                self._charge_fragment_pass(fragment_name, node.node_id, sorted_fragments)
+                merge_slice = slices.get(node.node_id)
+                matches_by_node.append(
+                    node.fragment(fragment_name).rows_for_keys(column, merge_slice[1])
+                    if merge_slice else {}
                 )
-            else:
-                wanted.append(())
-        merge_results = engine.run_ops([
-            ("merge", node_id, fragment_name, column, sorted_fragments,
-             wanted[node_id], Tag.MAINTAIN)
-            for node_id in range(num_nodes)
-        ])
         results: List[Intermediate] = []
         passes = self._passes
-        for node_id, matches in enumerate(merge_results):
-            prefixes = slices.get(node_id)
-            if not prefixes:
+        for node_id, matches in enumerate(matches_by_node):
+            merge_slice = slices.get(node_id)
+            if not merge_slice:
                 continue
-            for prefix in prefixes:
+            for prefix in merge_slice[0]:
                 for partner_row in matches.get(prefix[key_position], ()):
-                    if passes(filters, prefix, partner_row):
+                    if not filters or passes(filters, prefix, partner_row):
                         results.append((node_id, prefix + partner_row))
         return results
 
@@ -770,21 +772,11 @@ class JoinViewMaintainer:
             cost = node.layout.sort_cost_pages(pages)
             node.ledger.charge(node_id, Op.SORT_PAGE, Tag.MAINTAIN, count=cost)
 
-    def _merge_against_fragment(
-        self, hop, prefixes: List[Row], key_position, filters, fragment_name, column, node_id
-    ) -> List[Intermediate]:
-        """Join routed prefixes against one node's fragment contents."""
-        node = self.cluster.nodes[node_id]
-        position = node.fragment(fragment_name).table.schema.index_of(column)
-        by_key: Dict[object, List[Row]] = {}
-        for row in node.scan(fragment_name):
-            by_key.setdefault(row[position], []).append(row)
-        results: List[Intermediate] = []
-        for prefix in prefixes:
-            for partner_row in by_key.get(prefix[key_position], ()):
-                if self._passes(filters, prefix, partner_row):
-                    results.append((node_id, prefix + partner_row))
-        return results
+    @staticmethod
+    def _merge_slice(prefixes: List[Row], key_position: int) -> MergeSlice:
+        """A node's prefixes with their distinct join keys, in first-seen
+        order; build one per hop when every node merges the same prefixes."""
+        return prefixes, dict.fromkeys(prefix[key_position] for prefix in prefixes)
 
     def _sm_broadcast(
         self, hop, state, key_position, filters, access: BaseAccess,
@@ -802,25 +794,12 @@ class JoinViewMaintainer:
             for node, _ in state:
                 for _ in self.cluster.network.broadcast(node, Tag.MAINTAIN):
                     pass
-        prefixes = [prefix for _, prefix in state]
-        if engine is not None:
-            slices = {
-                node_id: prefixes for node_id in range(self.cluster.num_nodes)
-            }
-            return self._sm_merge_parallel(
-                engine, access.relation, access.column, access.clustered,
-                slices, key_position, filters,
-            )
-        results: List[Intermediate] = []
-        for node in self.cluster.nodes:
-            self._charge_fragment_pass(access.relation, node.node_id, access.clustered)
-            results.extend(
-                self._merge_against_fragment(
-                    hop, prefixes, key_position, filters,
-                    access.relation, access.column, node.node_id,
-                )
-            )
-        return results
+        shared = self._merge_slice([prefix for _, prefix in state], key_position)
+        return self._merge_pass(
+            engine, access.relation, access.column, access.clustered,
+            dict.fromkeys(range(self.cluster.num_nodes), shared),
+            key_position, filters,
+        )
 
     def _sm_partitioned(
         self, hop, state, key_position, filters, fragment_name, column, router,
@@ -847,23 +826,14 @@ class JoinViewMaintainer:
                 destination = router(prefix[key_position])
                 self.cluster.network.send(node, destination, Tag.MAINTAIN)
                 slices.setdefault(destination, []).append(prefix)
-        if engine is not None:
-            return self._sm_merge_parallel(
-                engine, fragment_name, column, sorted_fragments,
-                slices, key_position, filters,
-            )
-        results: List[Intermediate] = []
-        for node in self.cluster.nodes:
-            self._charge_fragment_pass(fragment_name, node.node_id, sorted_fragments)
-            prefixes = slices.get(node.node_id)
-            if prefixes:
-                results.extend(
-                    self._merge_against_fragment(
-                        hop, prefixes, key_position, filters,
-                        fragment_name, column, node.node_id,
-                    )
-                )
-        return results
+        return self._merge_pass(
+            engine, fragment_name, column, sorted_fragments,
+            {
+                node_id: self._merge_slice(prefixes, key_position)
+                for node_id, prefixes in slices.items()
+            },
+            key_position, filters,
+        )
 
     def _sm_scan_all(
         self, hop, state, key_position, filters, fragment_name, column,
@@ -892,21 +862,9 @@ class JoinViewMaintainer:
                 # The delta still travels to its key's GI home node first.
                 gi_home = gi.home_node(prefix[key_position])
                 self.cluster.network.send(node, gi_home, Tag.MAINTAIN)
-        if engine is not None:
-            slices = {
-                node_id: prefixes for node_id in range(self.cluster.num_nodes)
-            }
-            return self._sm_merge_parallel(
-                engine, fragment_name, column, sorted_fragments,
-                slices, key_position, filters,
-            )
-        results: List[Intermediate] = []
-        for node in self.cluster.nodes:
-            self._charge_fragment_pass(fragment_name, node.node_id, sorted_fragments)
-            results.extend(
-                self._merge_against_fragment(
-                    hop, prefixes, key_position, filters,
-                    fragment_name, column, node.node_id,
-                )
-            )
-        return results
+        shared = self._merge_slice(prefixes, key_position)
+        return self._merge_pass(
+            engine, fragment_name, column, sorted_fragments,
+            dict.fromkeys(range(self.cluster.num_nodes), shared),
+            key_position, filters,
+        )

@@ -4,7 +4,9 @@ The paper distinguishes *clustered* indexes — the fragment is physically
 ordered on the indexed attribute, so all tuples matching one key sit on the
 leaf page the search lands on — from *non-clustered* ones, where each match
 costs a separate FETCH.  The index itself is a hash-shaped map from key to
-local rowids; ordered access (for sort-merge joins) is provided on demand.
+local rowids.  Each key's rowids stay in scan order (inserts and rollback
+restores append, deletes remove), so reading a key through the index meets
+its rows in the order a fragment scan would.
 
 Teradata-style constraint honoured by the cluster layer: a fragment can be
 clustered on at most one attribute.
@@ -12,7 +14,8 @@ clustered on at most one attribute.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from collections.abc import Collection
+from typing import Dict, Iterator, List
 
 from .heap import HeapTable
 from .schema import Row
@@ -68,12 +71,6 @@ class LocalIndex:
 
     def distinct_keys(self) -> int:
         return len(self._entries)
-
-    def sorted_items(self) -> List[Tuple[object, List[int]]]:
-        """(key, rowids) pairs in key order — the sorted run a sort-merge
-        join consumes.  Building it models the sort; callers charge the sort
-        cost through the ledger."""
-        return sorted(self._entries.items(), key=lambda item: item[0])  # type: ignore[arg-type]
 
     def matches_per_key_fit_one_page(self, key: object) -> bool:
         """Whether all matches for ``key`` co-reside on one page.
@@ -145,6 +142,37 @@ class IndexedHeap:
         self.table.restore(rowid, row)
         for index in self.indexes.values():
             index.on_insert(rowid, row)
+
+    def rows_for_keys(
+        self, column: str, keys: Collection[object]
+    ) -> Dict[object, List[Row]]:
+        """``{key: rows whose column equals key}`` for each wanted key that
+        has rows, each list in scan order; absent keys are omitted.
+
+        The physical read behind a sort-merge pass, and uncharged: the
+        ledger bills the paper's full scan or sort of the fragment whatever
+        this reads.  With a local index on ``column`` it touches only the
+        wanted keys' rows; otherwise it makes one filtered scan, testing
+        membership in ``keys`` per row (pass a dict or set).
+        """
+        found: Dict[object, List[Row]] = {}
+        if not keys:
+            return found
+        index = self.indexes.get(column)
+        if index is not None:
+            entries = index._entries
+            fetch = self.table.fetch
+            for key in keys:
+                rowids = entries.get(key)
+                if rowids:
+                    found[key] = [fetch(rowid) for rowid in rowids]
+            return found
+        position = self.table.schema.index_of(column)
+        for _, row in self.table.scan():
+            key = row[position]
+            if key in keys:
+                found.setdefault(key, []).append(row)
+        return found
 
     def delete_matching(self, row: Row) -> int:
         """Delete the first stored tuple (in scan order) equal to ``row``;

@@ -1,6 +1,8 @@
 """Unit tests for repro.storage.index."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage.heap import HeapTable
 from repro.storage.index import IndexedHeap, IndexError_, LocalIndex
@@ -77,14 +79,6 @@ def test_distinct_keys_and_keys(heap):
     assert sorted(index.keys()) == [1, 2]
 
 
-def test_sorted_items(heap):
-    index = heap.create_index("k")
-    heap.insert((3, "c"))
-    heap.insert((1, "a"))
-    heap.insert((2, "b"))
-    assert [key for key, _ in index.sorted_items()] == [1, 2, 3]
-
-
 def test_matches_fit_one_page_clustered():
     table = HeapTable(Schema.of("T", "k"), PageLayout(tuples_per_page=2))
     heap = IndexedHeap(table)
@@ -109,3 +103,47 @@ def test_delete_matching(heap):
     assert heap.delete_matching((1, "b")) == rid
     with pytest.raises(IndexError_):
         heap.delete_matching((9, "q"))
+
+
+# Keys 0-2 are stored; 3 and 4 never are, so key sets include absent keys.
+_row = st.tuples(st.integers(0, 2), st.sampled_from("ab"))
+_heap_op = st.one_of(
+    st.tuples(st.just("insert"), _row),
+    st.tuples(st.just("insert_many"), st.lists(_row, max_size=4)),
+    st.tuples(st.just("delete"), st.integers(0, 15)),
+    st.tuples(st.just("restore"), st.integers(0, 15)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    index_kind=st.sampled_from([None, "nonclustered", "clustered"]),
+    steps=st.lists(
+        st.tuples(_heap_op, st.sets(st.integers(0, 4))), max_size=30
+    ),
+)
+def test_rows_for_keys_matches_filtered_scan(index_kind, steps):
+    """After every mutation, ``rows_for_keys`` returns each wanted key's
+    rows in scan order, with or without an index on the column."""
+    heap = IndexedHeap(HeapTable(Schema.of("T", "k", "v")))
+    if index_kind is not None:
+        heap.create_index("k", clustered=index_kind == "clustered")
+    deleted = []
+    for (kind, arg), keys in steps:
+        live = [rid for rid, _ in heap.table.scan()]
+        if kind == "insert":
+            heap.insert(arg)
+        elif kind == "insert_many":
+            heap.insert_many(arg)
+        elif kind == "delete" and live:
+            rid = live[arg % len(live)]
+            deleted.append((rid, heap.delete(rid)))
+        elif kind == "restore" and deleted:
+            heap.restore(*deleted.pop(arg % len(deleted)))
+        expected = {
+            key: [row for _, row in heap.table.scan() if row[0] == key]
+            for key in keys
+        }
+        assert heap.rows_for_keys("k", keys) == {
+            key: rows for key, rows in expected.items() if rows
+        }
